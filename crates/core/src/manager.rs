@@ -102,11 +102,12 @@ pub struct TxnManager {
     /// crashes underneath it).
     part: Mutex<Recorded<ParticipantSm>>,
     async_work: Mutex<VecDeque<Phase2Work>>,
-    /// When set, 2PC prepare messages to distinct participant sites are sent
-    /// concurrently from scoped threads (enabled by the threaded driver; the
-    /// deterministic simulation keeps the sequential order). The
-    /// coordinator's account absorbs the slowest branch's latency plus the
-    /// summed counts.
+    /// When set, 2PC prepare messages to distinct participant sites go out
+    /// as one parallel wave on the virtual clock (enabled by the threaded
+    /// driver; the deterministic simulation keeps the sequential protocol):
+    /// each branch runs on its own account, and the coordinator's account
+    /// absorbs the slowest branch's latency plus the summed counts. See
+    /// `send_prepare_wave` for why the branches share the caller's thread.
     pub parallel_fanout: AtomicBool,
 }
 
@@ -414,11 +415,15 @@ impl TxnManager {
     }
 
     /// Phase one, one fan-out wave: one `Prepare` per participant site.
-    /// A single-element wave (the sequential protocol) runs inline on the
-    /// caller's account; a multi-element wave (parallel fan-out) contacts
-    /// every site from scoped threads and the coordinator's account absorbs
-    /// the slowest branch's latency and the summed message/instruction
-    /// counts. Returns each site's vote in wave order.
+    /// A single-element wave (the sequential protocol) runs on the caller's
+    /// account. A multi-element wave (parallel fan-out) is parallel on the
+    /// virtual clock: each branch runs on its own account and the
+    /// coordinator's account absorbs the slowest branch's latency and the
+    /// summed message/instruction counts. On the wall clock the branches run
+    /// one after another on the caller's thread: transport calls are plain
+    /// function calls that never wait, so threads would overlap nothing and
+    /// only add a spawn and join per transaction. Returns each site's vote
+    /// in wave order.
     fn send_prepare_wave(
         &self,
         tid: TransId,
@@ -454,20 +459,15 @@ impl TxnManager {
             ok
         };
         if wave.len() > 1 {
-            let mut branches: Vec<Account> =
-                wave.iter().map(|_| Account::new(self.site())).collect();
-            let mut oks = vec![false; wave.len()];
-            crossbeam::thread::scope(|s| {
-                for (((site, fids, epoch), branch), ok) in
-                    wave.iter().zip(branches.iter_mut()).zip(oks.iter_mut())
-                {
-                    s.spawn(move || {
-                        *ok = prepare_one(*site, fids, *epoch, branch);
-                    });
-                }
-            });
+            let mut branches = Vec::with_capacity(wave.len());
+            let mut votes = Vec::with_capacity(wave.len());
+            for (site, fids, epoch) in &wave {
+                let mut branch = Account::new(self.site());
+                votes.push((*site, prepare_one(*site, fids, *epoch, &mut branch)));
+                branches.push(branch);
+            }
             acct.absorb_parallel(branches.iter());
-            wave.iter().map(|(site, _, _)| *site).zip(oks).collect()
+            votes
         } else {
             wave.into_iter()
                 .map(|(site, fids, epoch)| (site, prepare_one(site, &fids, epoch, acct)))

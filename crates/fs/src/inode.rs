@@ -3,7 +3,7 @@
 //! committed by ... atomically overwriting the inode on disk with new data,
 //! freeing up the old data pages").
 
-use locus_types::codec::{Dec, Enc};
+use locus_types::codec::Dec;
 use locus_types::{Fid, IntentionsList, PageNo, PhysPage};
 
 /// In-core/on-disk inode.
@@ -89,29 +89,44 @@ impl Inode {
         freed
     }
 
-    /// Serializes for the volume's stable store.
+    /// Serializes for the volume's stable store. Every commit re-encodes
+    /// the whole page table, so the record is written in one pass into a
+    /// buffer sized exactly up front. Layout (little-endian): volume u32,
+    /// inode u32, len u64, page count u32, then per page a tag byte (0 hole,
+    /// 1 mapped) followed by the block u32 when mapped, then the
+    /// install-counter count u32 and one u64 per counter.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.u32(self.fid.volume.0);
-        e.u32(self.fid.inode.0);
-        e.u64(self.len);
-        e.u32(self.pages.len() as u32);
+        let mapped = self.pages.iter().flatten().count();
+        let size = 4 + 4 + 8 + 4 + self.pages.len() + 4 * mapped + 4 + 8 * self.vers.len();
+        let mut out = vec![0u8; size];
+        let mut pos = 0;
+        let mut put = |bytes: &[u8]| {
+            out[pos..pos + bytes.len()].copy_from_slice(bytes);
+            pos += bytes.len();
+        };
+        put(&self.fid.volume.0.to_le_bytes());
+        put(&self.fid.inode.0.to_le_bytes());
+        put(&self.len.to_le_bytes());
+        put(&(self.pages.len() as u32).to_le_bytes());
         for p in &self.pages {
             match p {
                 Some(pp) => {
-                    e.u8(1);
-                    e.u32(pp.0);
+                    put(&[1]);
+                    put(&pp.0.to_le_bytes());
                 }
-                None => e.u8(0),
+                None => put(&[0]),
             }
         }
-        e.u32(self.vers.len() as u32);
+        put(&(self.vers.len() as u32).to_le_bytes());
         for v in &self.vers {
-            e.u64(*v);
+            put(&v.to_le_bytes());
         }
-        e.finish()
+        out
     }
 
+    /// Decodes a stable inode record; `None` on truncation, trailing bytes,
+    /// or a bad page tag. Counts read from the record never size an
+    /// allocation beyond the bytes that remain.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
         use locus_types::{InodeNo, VolumeId};
         let mut d = Dec::new(bytes);
@@ -121,7 +136,7 @@ impl Inode {
         };
         let len = d.u64()?;
         let n = d.u32()?;
-        let mut pages = Vec::with_capacity(n as usize);
+        let mut pages = Vec::with_capacity((n as usize).min(d.remaining()));
         for _ in 0..n {
             pages.push(match d.u8()? {
                 1 => Some(PhysPage(d.u32()?)),
@@ -130,9 +145,12 @@ impl Inode {
             });
         }
         let nv = d.u32()?;
-        let mut vers = Vec::with_capacity(nv as usize);
+        let mut vers = Vec::with_capacity((nv as usize).min(d.remaining()));
         for _ in 0..nv {
             vers.push(d.u64()?);
+        }
+        if !d.done() {
+            return None;
         }
         Some(Inode {
             fid,
@@ -187,6 +205,46 @@ mod tests {
         ino.pages = vec![Some(PhysPage(4)), None, Some(PhysPage(6))];
         let got = Inode::decode(&ino.encode()).unwrap();
         assert_eq!(got, ino);
+    }
+
+    #[test]
+    fn encoding_is_pinned() {
+        // A hole and non-zero install counters: the exact on-disk bytes
+        // every durable image and torture replay depends on.
+        let mut ino = Inode::new(Fid::new(VolumeId(2), 7));
+        ino.len = 2500;
+        ino.pages = vec![Some(PhysPage(4)), None, Some(PhysPage(0x0102_0304))];
+        ino.vers = vec![1, 0, 0x0A0B];
+        #[rustfmt::skip]
+        let want: Vec<u8> = vec![
+            2, 0, 0, 0,                   // volume
+            7, 0, 0, 0,                   // inode
+            0xC4, 0x09, 0, 0, 0, 0, 0, 0, // len = 2500
+            3, 0, 0, 0,                   // page count
+            1, 4, 0, 0, 0,                // page 0 -> block 4
+            0,                            // page 1: hole
+            1, 4, 3, 2, 1,                // page 2 -> block 0x01020304
+            3, 0, 0, 0,                   // install-counter count
+            1, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0,
+            0x0B, 0x0A, 0, 0, 0, 0, 0, 0,
+        ];
+        assert_eq!(ino.encode(), want);
+        assert_eq!(Inode::decode(&want), Some(ino));
+    }
+
+    #[test]
+    fn decode_rejects_counts_past_the_input() {
+        // A 20-byte record claiming u32::MAX pages: must be refused without
+        // reserving space for them.
+        let mut bytes = Inode::new(fid()).encode();
+        bytes.truncate(16);
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(bytes.len(), 20);
+        assert_eq!(Inode::decode(&bytes), None);
+        let mut trailing = Inode::new(fid()).encode();
+        trailing.push(0);
+        assert_eq!(Inode::decode(&trailing), None);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! (Section 4.4: "it is important to assure that logs are stored on the same
 //! medium as the files to which they refer").
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -36,12 +36,35 @@ const FILE_BUFFER_CAP: usize = 128;
 #[derive(Debug, Default)]
 struct FileState {
     buffers: BTreeMap<PageNo, PageBuf>,
+    /// Dirty-page index: exactly the pages whose buffer has at least one
+    /// writer. The per-owner scans (lock-time adoption, prepare, abort) walk
+    /// this set — in page order, like the buffer map — so their cost follows
+    /// the pages a transaction touched, not the file's resident buffers.
+    /// A page joins on `write` and leaves when its writer set empties or its
+    /// buffer is dropped; dirty buffers are never evicted.
+    dirty: BTreeSet<PageNo>,
     /// Highest byte any uncommitted write has reached.
     uncommitted_len: u64,
     /// Per-owner high-water mark of written bytes (drives committed length).
     writer_ends: BTreeMap<Owner, u64>,
     /// Intentions lists built by `prepare` and not yet committed/aborted.
     prepared: BTreeMap<Owner, IntentionsList>,
+}
+
+impl FileState {
+    /// The dirty pages `range` touches, in page order. Writer ranges never
+    /// cross their page, so only these pages can hold bytes in `range`.
+    fn dirty_pages_in(&self, range: ByteRange, page_size: u64) -> Vec<PageNo> {
+        if range.is_empty() {
+            return Vec::new();
+        }
+        let page_of = |off: u64| PageNo(u32::try_from(off / page_size).unwrap_or(u32::MAX));
+        let last = range.start.saturating_add(range.len - 1);
+        self.dirty
+            .range(page_of(range.start)..=page_of(last))
+            .copied()
+            .collect()
+    }
 }
 
 #[derive(Default)]
@@ -196,8 +219,10 @@ impl Volume {
         let fstate = st.files.entry(ino).or_default();
         // Evict clean buffers beyond the cap (LRU approximated by BTreeMap
         // order; dirty buffers are never evicted — they hold uncommitted
-        // record data that exists nowhere else).
-        if fstate.buffers.len() >= FILE_BUFFER_CAP {
+        // record data that exists nowhere else). The dirty index tells when
+        // there is no clean victim, so a large uncommitted write does not
+        // rescan its own buffers on every new page.
+        if fstate.buffers.len() >= FILE_BUFFER_CAP && fstate.dirty.len() < fstate.buffers.len() {
             let victim = fstate
                 .buffers
                 .iter()
@@ -324,6 +349,7 @@ impl Volume {
             let fstate = st.files.get_mut(&ino).expect("ensured above");
             let buf = fstate.buffers.get_mut(&page).expect("ensured above");
             buf.write(owner, slice, &data[src_off..src_off + slice.len as usize]);
+            fstate.dirty.insert(page);
         }
         let fstate = st.files.entry(ino).or_default();
         fstate.uncommitted_len = fstate.uncommitted_len.max(range.end());
@@ -351,7 +377,8 @@ impl Volume {
             return Vec::new();
         };
         let mut out = Vec::new();
-        for (page, buf) in &fstate.buffers {
+        for page in fstate.dirty_pages_in(range, ps) {
+            let buf = &fstate.buffers[&page];
             let base = u64::from(page.0) * ps;
             for (owner, ranges) in &buf.writers {
                 if *owner == except {
@@ -382,9 +409,15 @@ impl Volume {
         };
         let mut adopted = Vec::new();
         let mut max_end = 0;
-        for (page, buf) in fstate.buffers.iter_mut() {
+        // Adoption moves ranges between writers of a page, so no page joins
+        // or leaves the dirty index here.
+        for page in fstate.dirty_pages_in(range, ps) {
+            let buf = fstate
+                .buffers
+                .get_mut(&page)
+                .expect("dirty page is buffered");
             let base = u64::from(page.0) * ps;
-            let Some(local) = range.slice_on_page(*page, ps as usize) else {
+            let Some(local) = range.slice_on_page(page, ps as usize) else {
                 continue;
             };
             for r in buf.adopt(local, to) {
@@ -408,8 +441,27 @@ impl Volume {
         let st = self.state.lock();
         st.files
             .get(&ino)
-            .map(|f| f.buffers.values().any(|b| b.written_by(owner)))
+            .map(|f| f.dirty.iter().any(|p| f.buffers[p].written_by(owner)))
             .unwrap_or(false)
+    }
+
+    /// Every resident buffer of the file with its per-owner modified ranges
+    /// (page-relative), in page order; clean buffers have no writers. A full
+    /// scan of the buffer pool, for checking the dirty-page index against.
+    pub fn resident_writers(&self, fid: Fid) -> Vec<(PageNo, BTreeMap<Owner, Vec<ByteRange>>)> {
+        let Ok(ino) = self.check_fid(fid) else {
+            return Vec::new();
+        };
+        let st = self.state.lock();
+        st.files
+            .get(&ino)
+            .map(|f| {
+                f.buffers
+                    .iter()
+                    .map(|(p, b)| (*p, b.writers.clone()))
+                    .collect()
+            })
+            .unwrap_or_default()
     }
 
     // ----- Record commit: prepare / commit / abort -------------------------
@@ -433,10 +485,10 @@ impl Volume {
         let new_len = committed_len.max(fstate.writer_ends.get(&owner).copied().unwrap_or(0));
         let mut il = IntentionsList::new(fid, new_len);
         let pages: Vec<PageNo> = fstate
-            .buffers
+            .dirty
             .iter()
-            .filter(|(_, b)| b.written_by(owner))
-            .map(|(p, _)| *p)
+            .filter(|p| fstate.buffers[*p].written_by(owner))
+            .copied()
             .collect();
         for page in pages {
             let buf = fstate.buffers.get(&page).expect("listed above");
@@ -648,6 +700,9 @@ impl Volume {
                 for ent in &il.entries {
                     if let Some(buf) = fstate.buffers.get_mut(&ent.page) {
                         buf.finish_commit(o);
+                        if !buf.is_dirty() {
+                            fstate.dirty.remove(&ent.page);
+                        }
                     }
                 }
                 fstate.writer_ends.remove(&o);
@@ -655,6 +710,7 @@ impl Volume {
                 // Recovery path: buffers (if any) are stale; drop them.
                 for ent in &il.entries {
                     fstate.buffers.remove(&ent.page);
+                    fstate.dirty.remove(&ent.page);
                 }
             }
             let writers_max = fstate.writer_ends.values().copied().max().unwrap_or(0);
@@ -678,7 +734,11 @@ impl Volume {
             }
         }
         let mut any = false;
-        for buf in fstate.buffers.values_mut() {
+        fstate.dirty.retain(|page| {
+            let buf = fstate
+                .buffers
+                .get_mut(page)
+                .expect("dirty page is buffered");
             let (rolled, moved) = buf.abort(owner);
             if rolled {
                 any = true;
@@ -687,7 +747,8 @@ impl Volume {
                     acct.cpu_instrs(&self.model, self.model.diff_instrs(moved));
                 }
             }
-        }
+            buf.is_dirty()
+        });
         fstate.writer_ends.remove(&owner);
         let committed_len = st.incore.get(&ino).map(|i| i.len).unwrap_or(0);
         let fstate = st.files.get_mut(&ino).expect("present");
@@ -818,6 +879,7 @@ impl Volume {
             // Any buffered copies of the installed pages are stale.
             for (page, _, _) in &fresh {
                 fstate.buffers.remove(page);
+                fstate.dirty.remove(page);
             }
             let writers_max = fstate.writer_ends.values().copied().max().unwrap_or(0);
             fstate.uncommitted_len = writers_max.max(committed_len);

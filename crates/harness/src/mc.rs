@@ -3,7 +3,7 @@
 //! The checker drives the *production* [`CoordinatorSm`] and
 //! [`ParticipantSm`] structs — the same code the live `TxnManager` drives —
 //! through every interleaving a bounded scope allows, and asserts the 2PC
-//! safety invariants on every edge. A [`World`] is the two machines plus an
+//! safety invariants on every edge. A `World` is the two machines plus an
 //! abstract substrate: the durable coordinator log, per-site prepare logs,
 //! the global commit-fence set, dirty/installed bookkeeping, in-flight
 //! messages, and the asynchronous phase-two queue. Exploration is

@@ -29,10 +29,12 @@ pub struct ThreadCtx {
 }
 
 impl ThreadCtx {
-    /// Spawns a fresh process at `site`. The threaded driver runs processes
-    /// on real OS threads, so the site's transaction manager is switched to
-    /// parallel prepare fan-out: phase one contacts distinct participant
-    /// sites from scoped threads instead of sequentially.
+    /// Spawns a fresh process at `site` and sets the whole site up for
+    /// real concurrency. The transaction manager switches to parallel
+    /// prepare fan-out: phase one sends one wave to all participant sites,
+    /// priced on the virtual clock as its slowest branch (the branches run
+    /// inline on the calling thread). The home volume's journal holds each
+    /// flush open for 50 µs so that racing commits share one barrier.
     pub fn new(site: Arc<Site>) -> Self {
         site.txn
             .parallel_fanout
@@ -265,7 +267,7 @@ mod tests {
         }
         let ctx = ThreadCtx::new(c.site(0).clone());
         // The threaded driver switched this site to parallel fan-out; with
-        // two participant sites the prepares go out from scoped threads.
+        // two participant sites the prepares go out as one wave.
         assert!(c.site(0).txn.parallel_fanout.load(Ordering::Relaxed));
         ctx.begin_trans().unwrap();
         for name in ["/p1", "/p2"] {

@@ -93,6 +93,13 @@ impl<'a> Dec<'a> {
     pub fn done(&self) -> bool {
         self.pos == self.buf.len()
     }
+
+    /// Bytes not yet consumed. Decoders cap a count read from the input by
+    /// this before reserving space: every element takes at least one byte,
+    /// so a corrupt count can never ask for more than the input holds.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
 }
 
 #[cfg(test)]
@@ -125,6 +132,9 @@ mod tests {
         e.u64(1);
         let bytes = e.finish();
         let mut d = Dec::new(&bytes[..4]);
+        assert_eq!(d.remaining(), 4);
         assert_eq!(d.u64(), None);
+        assert_eq!(d.u8(), Some(1));
+        assert_eq!(d.remaining(), 3);
     }
 }

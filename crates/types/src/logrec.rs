@@ -47,11 +47,13 @@ impl CoordLogRecord {
         e.finish()
     }
 
+    /// Decodes one record; `None` on truncation, trailing bytes, or an
+    /// unknown tag.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
         let mut d = Dec::new(bytes);
         let tid = dec_tid(&mut d)?;
         let n = d.u32()?;
-        let mut files = Vec::with_capacity(n as usize);
+        let mut files = Vec::with_capacity((n as usize).min(d.remaining()));
         for _ in 0..n {
             files.push(FileListEntry {
                 fid: Fid {
@@ -68,6 +70,9 @@ impl CoordLogRecord {
             2 => TxnStatus::Aborted,
             _ => return None,
         };
+        if !d.done() {
+            return None;
+        }
         Some(CoordLogRecord { tid, files, status })
     }
 }
@@ -136,6 +141,8 @@ impl PrepareLogRecord {
         e.finish()
     }
 
+    /// Decodes one record; `None` on truncation, trailing bytes, or an
+    /// unknown tag.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
         let mut d = Dec::new(bytes);
         let tid = dec_tid(&mut d)?;
@@ -157,7 +164,7 @@ impl PrepareLogRecord {
             };
             let old_vers = d.u64()?;
             let nr = d.u32()?;
-            let mut ranges = Vec::with_capacity(nr as usize);
+            let mut ranges = Vec::with_capacity((nr as usize).min(d.remaining()));
             for _ in 0..nr {
                 ranges.push(ByteRange::new(d.u64()?, d.u64()?));
             }
@@ -170,7 +177,7 @@ impl PrepareLogRecord {
             });
         }
         let nl = d.u32()?;
-        let mut locks = Vec::with_capacity(nl as usize);
+        let mut locks = Vec::with_capacity((nl as usize).min(d.remaining()));
         for _ in 0..nl {
             let pid = Pid(d.u64()?);
             let ltid = match d.u8()? {
@@ -190,7 +197,11 @@ impl PrepareLogRecord {
                 _ => return None,
             };
             let range = ByteRange::new(d.u64()?, d.u64()?);
-            let retained = d.u8()? != 0;
+            let retained = match d.u8()? {
+                0 => false,
+                1 => true,
+                _ => return None,
+            };
             locks.push(LockDescriptor {
                 pid,
                 tid: ltid,
@@ -199,6 +210,9 @@ impl PrepareLogRecord {
                 range,
                 retained,
             });
+        }
+        if !d.done() {
+            return None;
         }
         Some(PrepareLogRecord {
             tid,
